@@ -396,9 +396,10 @@ void BM_Phy802154Per(benchmark::State& state) {
 }
 BENCHMARK(BM_Phy802154Per);
 
+// The per-uplink harvest integral as the engines run it: the fleet's
+// inline HarvesterModel, one hourly report span per call.
 void BM_SolarEnergyIntegralOneHour(benchmark::State& state) {
-  SolarHarvester::Params p;
-  SolarHarvester sun(p);
+  const HarvesterModel sun = HarvesterModel::Solar(SolarHarvester::Params{});
   SimTime t;
   for (auto _ : state) {
     benchmark::DoNotOptimize(sun.EnergyOver(t, t + SimTime::Hours(1)));

@@ -171,12 +171,8 @@ DeliveryReport NetworkFabric::Offer(const TxRequest& request, RandomStream& rng)
   }
 
   // --- Access channel: who can hear this frame at all? ---
-  struct Candidate {
-    Gateway* gw;
-    uint32_t index;  // Position in gateways_ (EWMA column).
-    double rx_dbm;
-  };
-  std::vector<Candidate> reachable;
+  std::vector<Candidate>& reachable = reachable_;
+  reachable.clear();
   const double sens = phy.SensitivityDbm();
   auto scan = [&](uint32_t index) {
     Gateway* gw = gateways_[index];

@@ -233,6 +233,16 @@ class NetworkFabric {
   // after the goldens were pinned (kCadBusy) are created lazily on first
   // increment, so runs that never see them emit byte-identical metrics.
   std::array<std::array<Counter*, kDeliveryOutcomeCount>, 2> outcome_metrics_{};
+
+  // Offer's gateways-in-range list, cleared and refilled on every call so
+  // the per-uplink path does not allocate. Nothing Offer calls (gateway
+  // Accept, network-server Ingest, endpoint Record) re-enters Offer.
+  struct Candidate {
+    Gateway* gw;
+    uint32_t index;  // Position in gateways_ (EWMA column).
+    double rx_dbm;
+  };
+  std::vector<Candidate> reachable_;
 };
 
 }  // namespace centsim

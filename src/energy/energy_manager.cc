@@ -83,9 +83,9 @@ FastForwardResult EnergyOps::FastForwardTo(const HarvesterModel& harvester,
   }
   const double span_s = (to - last_advance).ToSeconds();
   // Same transition order as AdvanceTo — aging on the pre-harvest charge,
-  // bank the span's harvest, pay the sleep floor — but with the closed-form
+  // bank the span's harvest, pay the sleep floor — with the same closed-form
   // integral, so a multi-year span costs one call instead of a tick loop.
-  result.harvested_j = harvester.EnergyOverAnalytic(last_advance, to);
+  result.harvested_j = harvester.EnergyOver(last_advance, to);
   MetricObserve(hooks.harvest_j, result.harvested_j);
   EnergyStorage::AdvanceState(storage, state, to);
   last_advance = to;

@@ -76,7 +76,7 @@ struct EnergyOps {
                           const EnergyMetricHooks& hooks, SimTime now);
 
   // Analytic bulk advance for the sampled engine: one call covers
-  // [last_advance, to) — closed-form harvest (EnergyOverAnalytic), one
+  // [last_advance, to) — closed-form harvest (EnergyOver), one
   // leakage/aging step, one sleep draw, and the expected outcome of the
   // `n = floor(span / tx_interval)` transmission attempts the skipped span
   // would have carried (grants limited by the span's energy throughput —

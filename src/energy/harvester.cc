@@ -110,27 +110,6 @@ double VibrationPowerAt(const VibrationHarvester::Params& params, SimTime t) {
   return params.peak_power_w * traffic;
 }
 
-// Adaptive trapezoid over an arbitrary power function. Resolves sub-hour
-// structure: at least 16 steps, at most one per 10 min.
-template <typename PowerFn>
-double TrapezoidOver(const PowerFn& power_at, SimTime from, SimTime to) {
-  assert(to >= from);
-  const double span = (to - from).ToSeconds();
-  if (span <= 0) {
-    return 0.0;
-  }
-  const int steps = std::clamp(static_cast<int>(span / 600.0), 16, 100000);
-  const double dt = span / steps;
-  double acc = 0.0;
-  double prev = power_at(from);
-  for (int i = 1; i <= steps; ++i) {
-    const double p = power_at(from + SimTime::Seconds(dt * i));
-    acc += 0.5 * (prev + p) * dt;
-    prev = p;
-  }
-  return acc;
-}
-
 }  // namespace
 
 double SolarEnergyOverAnalytic(const SolarHarvester::Params& params, SimTime from, SimTime to) {
@@ -249,8 +228,24 @@ double VibrationEnergyOverAnalytic(const VibrationHarvester::Params& params, Sim
   return total;
 }
 
+// Adaptive trapezoid over PowerAt, for subclasses without a closed form.
+// Resolves sub-hour structure: at least 16 steps, at most one per 10 min.
 double Harvester::EnergyOver(SimTime from, SimTime to) const {
-  return TrapezoidOver([this](SimTime t) { return PowerAt(t); }, from, to);
+  assert(to >= from);
+  const double span = (to - from).ToSeconds();
+  if (span <= 0) {
+    return 0.0;
+  }
+  const int steps = std::clamp(static_cast<int>(span / 600.0), 16, 100000);
+  const double dt = span / steps;
+  double acc = 0.0;
+  double prev = PowerAt(from);
+  for (int i = 1; i <= steps; ++i) {
+    const double p = PowerAt(from + SimTime::Seconds(dt * i));
+    acc += 0.5 * (prev + p) * dt;
+    prev = p;
+  }
+  return acc;
 }
 
 double Harvester::MeanPower(SimTime from, SimTime to) const {
@@ -342,25 +337,6 @@ double HarvesterModel::EnergyOver(SimTime from, SimTime to) const {
   switch (kind_) {
     case Kind::kConstant:
       // Exact: constant power integrates to power * span.
-      return params_.constant.power_w * (to - from).ToSeconds();
-    case Kind::kSolar:
-      return TrapezoidOver([this](SimTime t) { return SolarPowerAt(params_.solar, t); }, from,
-                           to);
-    case Kind::kCorrosion:
-      return CorrosionEnergyOver(params_.corrosion, from, to);
-    case Kind::kThermal:
-      return TrapezoidOver([this](SimTime t) { return ThermalPowerAt(params_.thermal, t); },
-                           from, to);
-    case Kind::kVibration:
-      return TrapezoidOver([this](SimTime t) { return VibrationPowerAt(params_.vibration, t); },
-                           from, to);
-  }
-  return 0.0;
-}
-
-double HarvesterModel::EnergyOverAnalytic(SimTime from, SimTime to) const {
-  switch (kind_) {
-    case Kind::kConstant:
       return params_.constant.power_w * (to - from).ToSeconds();
     case Kind::kSolar:
       return SolarEnergyOverAnalytic(params_.solar, from, to);

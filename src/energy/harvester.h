@@ -40,8 +40,8 @@ class Harvester {
   virtual double PowerAt(SimTime t) const = 0;
 
   // Energy in joules harvested over [from, to]. The default implementation
-  // integrates PowerAt with an adaptive trapezoid; subclasses with closed
-  // forms override it.
+  // integrates PowerAt with an adaptive trapezoid; every built-in subclass
+  // overrides it with its closed form.
   virtual double EnergyOver(SimTime from, SimTime to) const;
 
   virtual std::string name() const = 0;
@@ -151,8 +151,8 @@ struct ConstantHarvestParams {
 };
 
 // Closed-form energy integrals for the periodic harvester kinds, exposed as
-// free functions so the virtual overrides, HarvesterModel::EnergyOverAnalytic,
-// and the parity tests all share one implementation. Each walks the days
+// free functions so the virtual overrides, HarvesterModel::EnergyOver, and
+// the parity tests all share one implementation. Each walks the days
 // overlapping [from, to] and integrates that day's smooth pieces exactly:
 //
 //  * solar — per-day daylight window of
@@ -193,16 +193,13 @@ class HarvesterModel {
   static HarvesterModel Vibration(const VibrationHarvester::Params& params);
 
   double PowerAt(SimTime t) const;
-  double EnergyOver(SimTime from, SimTime to) const;
-  // Closed-form integral for every kind (solar/thermal/vibration get the
+  // Closed-form integral for every kind: solar/thermal/vibration call the
   // per-day analytic pieces the virtual overrides use; constant and
-  // corrosion were already exact). This is the fast-forward path's
-  // integrator (EnergyOps::FastForwardTo): one call covers a multi-year
-  // span at fixed cost per day instead of the trapezoid's step loop.
-  // EnergyOver keeps the adaptive trapezoid for the periodic kinds so the
-  // serial engine's event-by-event doubles — and every golden digest
-  // derived from them — stay byte-for-byte unchanged.
-  double EnergyOverAnalytic(SimTime from, SimTime to) const;
+  // corrosion are exact. This is the only integrator, so the detailed
+  // engines (one call per event span) and the fast-forward path
+  // (EnergyOps::FastForwardTo, one call per multi-year span) bank the same
+  // energy for the same span, at fixed cost per day either way.
+  double EnergyOver(SimTime from, SimTime to) const;
   double MeanPower(SimTime from, SimTime to) const;
 
   Kind kind() const { return kind_; }

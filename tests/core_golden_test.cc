@@ -29,8 +29,12 @@ namespace centsim {
 namespace {
 
 // Digests captured from the seed scheduler (pre event-core), commit
-// 9ba657e, seed 20260806.
-constexpr const char* kGoldenFiftyYearDigest = "736963e0451e5255";
+// 9ba657e, seed 20260806. The fifty-year digest was re-pinned once, from
+// 736963e0451e5255, when HarvesterModel::EnergyOver moved from the
+// adaptive trapezoid to the closed-form harvest integrals: only the
+// energy.harvest_j histogram in metrics.jsonl moved; the report fields and
+// grant/deny counters did not.
+constexpr const char* kGoldenFiftyYearDigest = "f0fe6a9618239d6d";
 constexpr const char* kGoldenEnsembleDigest = "a5985ca18db33a95";
 
 FiftyYearConfig GoldenConfig() {

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace centsim {
@@ -132,13 +134,15 @@ TEST(VibrationTest, WeekendQuieterThanWeekday) {
 
 // --- Closed-form integrals vs a refined reference integrator ---------------
 //
-// The sampled engine's fast-forward banks multi-year spans through the
-// closed forms (EnergyOverAnalytic), so these must match the *true*
-// integral of PowerAt to near machine precision. The default EnergyOver
-// trapezoid caps its step count and is only ~1e-3 accurate over long
-// spans, so the 1e-9 reference here is an adaptive Simpson run piecewise
-// between the power models' smooth-piece boundaries (day edges, the
-// daylight/thermal-lobe/traffic gates, and the rush-hour hump centers).
+// Every engine banks harvest through the closed forms (HarvesterModel::
+// EnergyOver) — hour by hour in the detailed engines, multi-year spans in
+// the sampled engine's fast-forward — so these must match the *true*
+// integral of PowerAt to near machine precision. The base-class
+// Harvester::EnergyOver trapezoid caps its step count and is only ~1e-3
+// accurate over long spans, so the 1e-9 reference here is an adaptive
+// Simpson run piecewise between the power models' smooth-piece boundaries
+// (day edges, the daylight/thermal-lobe/traffic gates, and the rush-hour
+// hump centers).
 
 double SimpsonEstimate(double a, double b, double fa, double fm, double fb) {
   return (b - a) / 6.0 * (fa + 4.0 * fm + fb);
@@ -218,7 +222,7 @@ double ReferenceEnergy(const std::function<double(SimTime)>& power_at, SimTime f
 }
 
 void ExpectClosedFormMatchesReference(const HarvesterModel& model, SimTime from, SimTime to) {
-  const double analytic = model.EnergyOverAnalytic(from, to);
+  const double analytic = model.EnergyOver(from, to);
   ASSERT_GT(analytic, 0.0);
   const double reference =
       ReferenceEnergy([&](SimTime t) { return model.PowerAt(t); }, from, to, analytic);
@@ -269,7 +273,7 @@ TEST(ClosedFormParityTest, CorrosionAndConstantAreExact) {
   // Piecewise-linear power: reference with a breakpoint at structure life.
   const SimTime from = SimTime::Years(49);
   const SimTime to = SimTime::Years(51);  // Straddles the 50-year knee.
-  const double analytic = corrosion.EnergyOverAnalytic(from, to);
+  const double analytic = corrosion.EnergyOver(from, to);
   double reference =
       ReferenceEnergy([&](SimTime t) { return corrosion.PowerAt(t); }, from,
                       p.structure_life, analytic) +
@@ -278,49 +282,90 @@ TEST(ClosedFormParityTest, CorrosionAndConstantAreExact) {
   EXPECT_LT(std::fabs(analytic - reference) / reference, 1e-9);
 
   const HarvesterModel constant = HarvesterModel::Constant(2.5e-3);
-  EXPECT_DOUBLE_EQ(constant.EnergyOverAnalytic(SimTime::Days(1), SimTime::Days(3)),
+  EXPECT_DOUBLE_EQ(constant.EnergyOver(SimTime::Days(1), SimTime::Days(3)),
                    2.5e-3 * 2.0 * 24.0 * 3600.0);
-}
-
-TEST(ClosedFormParityTest, VirtualAndModelClosedFormsAreBitIdentical) {
-  // The virtual overrides, the free functions, and the tagged union all
-  // share one implementation — equal params must produce equal doubles.
-  SolarHarvester::Params sp;
-  sp.seasonal_swing = 0.5;
-  const SimTime from = SimTime::Days(200);
-  const SimTime to = SimTime::Years(4);
-  EXPECT_EQ(SolarHarvester(sp).EnergyOver(from, to),
-            HarvesterModel::Solar(sp).EnergyOverAnalytic(from, to));
-  EXPECT_EQ(SolarEnergyOverAnalytic(sp, from, to),
-            HarvesterModel::Solar(sp).EnergyOverAnalytic(from, to));
-  ThermalHarvester::Params tp;
-  EXPECT_EQ(ThermalHarvester(tp).EnergyOver(from, to),
-            HarvesterModel::Thermal(tp).EnergyOverAnalytic(from, to));
-  VibrationHarvester::Params vp;
-  EXPECT_EQ(VibrationHarvester(vp).EnergyOver(from, to),
-            HarvesterModel::Vibration(vp).EnergyOverAnalytic(from, to));
 }
 
 TEST(ClosedFormParityTest, ZeroLengthSpanIsZero) {
   const SimTime t = SimTime::Days(123) + SimTime::Hours(10);
-  EXPECT_DOUBLE_EQ(HarvesterModel::Solar(SolarHarvester::Params{}).EnergyOverAnalytic(t, t), 0.0);
-  EXPECT_DOUBLE_EQ(HarvesterModel::Thermal(ThermalHarvester::Params{}).EnergyOverAnalytic(t, t),
-                   0.0);
-  EXPECT_DOUBLE_EQ(
-      HarvesterModel::Vibration(VibrationHarvester::Params{}).EnergyOverAnalytic(t, t), 0.0);
+  EXPECT_DOUBLE_EQ(HarvesterModel::Solar(SolarHarvester::Params{}).EnergyOver(t, t), 0.0);
+  EXPECT_DOUBLE_EQ(HarvesterModel::Thermal(ThermalHarvester::Params{}).EnergyOver(t, t), 0.0);
+  EXPECT_DOUBLE_EQ(HarvesterModel::Vibration(VibrationHarvester::Params{}).EnergyOver(t, t), 0.0);
 }
 
+TEST(ClosedFormParityTest, VirtualAndModelClosedFormsAreBitIdentical) {
+  // The virtual overrides, the free functions, and the tagged union all
+  // share one implementation — equal params must produce equal doubles,
+  // over an hour-long event span and over a multi-year one.
+  SolarHarvester::Params sp;
+  sp.seasonal_swing = 0.5;
+  const ThermalHarvester::Params tp;
+  const VibrationHarvester::Params vp;
+  const CorrosionHarvester::Params cp;
+  const SimTime hour_from = SimTime::Days(200) + SimTime::Hours(11) + SimTime::Minutes(13);
+  const std::pair<SimTime, SimTime> spans[] = {
+      {hour_from, hour_from + SimTime::Hours(1)}, {SimTime::Days(200), SimTime::Years(4)}};
+  for (const auto& [from, to] : spans) {
+    EXPECT_EQ(SolarHarvester(sp).EnergyOver(from, to),
+              HarvesterModel::Solar(sp).EnergyOver(from, to));
+    EXPECT_EQ(SolarEnergyOverAnalytic(sp, from, to),
+              HarvesterModel::Solar(sp).EnergyOver(from, to));
+    EXPECT_EQ(ThermalHarvester(tp).EnergyOver(from, to),
+              HarvesterModel::Thermal(tp).EnergyOver(from, to));
+    EXPECT_EQ(VibrationHarvester(vp).EnergyOver(from, to),
+              HarvesterModel::Vibration(vp).EnergyOver(from, to));
+    EXPECT_EQ(CorrosionHarvester(cp).EnergyOver(from, to),
+              HarvesterModel::Corrosion(cp).EnergyOver(from, to));
+  }
+}
+
+TEST(ClosedFormParityTest, HourlySpansSumToTheWholeYear) {
+  // The detailed engines integrate event by event (hourly reports in the
+  // fifty-year experiment); the fast-forward path integrates a whole span
+  // in one call. One integrator means the two agree to rounding.
+  const SimTime from = SimTime::Years(3);
+  constexpr int kHours = 8766;  // One 365.25-day year.
+  for (const HarvesterModel& model :
+       {HarvesterModel::Solar(SolarHarvester::Params{}),
+        HarvesterModel::Thermal(ThermalHarvester::Params{}),
+        HarvesterModel::Vibration(VibrationHarvester::Params{}),
+        HarvesterModel::Corrosion(CorrosionHarvester::Params{})}) {
+    double hourly = 0.0;
+    SimTime t = from;
+    for (int h = 0; h < kHours; ++h) {
+      const SimTime next = t + SimTime::Hours(1);
+      hourly += model.EnergyOver(t, next);
+      t = next;
+    }
+    const double whole = model.EnergyOver(from, t);
+    ASSERT_GT(whole, 0.0) << model.name();
+    EXPECT_LT(std::fabs(hourly - whole) / whole, 1e-9) << model.name();
+  }
+}
+
+// A harvester with only PowerAt: it gets the base-class trapezoid.
+class PowerOnlyHarvester : public Harvester {
+ public:
+  explicit PowerOnlyHarvester(HarvesterModel model) : model_(model) {}
+  double PowerAt(SimTime t) const override { return model_.PowerAt(t); }
+  std::string name() const override { return model_.name(); }
+
+ private:
+  HarvesterModel model_;
+};
+
 TEST(ClosedFormParityTest, TrapezoidDefaultAgreesCoarsely) {
-  // The serial engine's adaptive trapezoid is the digest-stable default;
-  // it should sit within a couple percent of the exact integral.
+  // The base-class adaptive trapezoid, used by PowerAt-only subclasses,
+  // should sit within a couple percent of the exact integral.
   const SimTime from = SimTime::Days(10);
   const SimTime to = SimTime::Days(40);
   for (const HarvesterModel& model :
        {HarvesterModel::Solar(SolarHarvester::Params{}),
         HarvesterModel::Thermal(ThermalHarvester::Params{}),
         HarvesterModel::Vibration(VibrationHarvester::Params{})}) {
-    const double analytic = model.EnergyOverAnalytic(from, to);
-    const double trapezoid = model.EnergyOver(from, to);
+    const double analytic = model.EnergyOver(from, to);
+    const double trapezoid = PowerOnlyHarvester(model).EnergyOver(from, to);
+    EXPECT_NE(trapezoid, analytic) << model.name();  // Really the other integrator.
     EXPECT_LT(std::fabs(trapezoid - analytic) / analytic, 2e-2) << model.name();
   }
 }

@@ -154,7 +154,7 @@ TEST(EnergyFastForwardTest, ZeroLengthIsBitIdenticalNoOp) {
 TEST(EnergyFastForwardTest, HarvestsTheClosedFormIntegral) {
   FastForwardRig rig;
   const SimTime to = SimTime::Years(2) + SimTime::Days(3);
-  const double expected = rig.harvester.EnergyOverAnalytic(SimTime(), to);
+  const double expected = rig.harvester.EnergyOver(SimTime(), to);
   const FastForwardResult res = EnergyOps::FastForwardTo(
       rig.harvester, rig.storage, rig.load, rig.state, rig.last_advance, rig.counters, rig.hooks,
       to, SimTime());  // No transmit duty cycle.
@@ -193,8 +193,8 @@ TEST(EnergyFastForwardTest, AbundantEnergyGrantsEveryAttemptLikeDetailed) {
   EXPECT_EQ(res.granted, detailed_grants);
   EXPECT_EQ(res.denied, 0u);
   EXPECT_EQ(fast.counters.tx_granted, detailed.counters.tx_granted);
-  // Charge parity is approximate: the detailed loop integrated each
-  // 6-hour hop with the trapezoid, the bulk advance used the closed form.
+  // Charge parity is approximate: the detailed loop ages, clips at capacity
+  // and pays the sleep floor hop by hop, the bulk advance once per span.
   EXPECT_NEAR(fast.state.charge_j, detailed.state.charge_j,
               0.05 * detailed.storage.capacity_j);
 }

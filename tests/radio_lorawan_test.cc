@@ -1,5 +1,7 @@
 #include "src/radio/lorawan.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace centsim {
@@ -117,11 +119,19 @@ TEST(LorawanOverheadTest, WireBytes) {
 // Golden airtime values hand-computed from the Semtech AN1200.13 formula
 // (125 kHz, CR 4/5, 8-symbol preamble, explicit header, CRC on, LDRO on
 // SF11/12).
+//
+// gtest names each case by a byte dump of the parameter, padding included.
+// The padding after `sf` is an explicit zeroed member so those names do not
+// pick up stack garbage and stay the same from run to run.
 struct AirtimeGolden {
+  AirtimeGolden(LoraSf sf_in, size_t payload_in, double expected_ms_in)
+      : sf(sf_in), payload(payload_in), expected_ms(expected_ms_in) {}
   LoraSf sf;
+  uint8_t zero_padding[7] = {};
   size_t payload;
   double expected_ms;
 };
+static_assert(sizeof(AirtimeGolden) == 24, "byte dump names assume no hidden padding");
 
 class AirtimeGoldenSweep : public ::testing::TestWithParam<AirtimeGolden> {};
 
